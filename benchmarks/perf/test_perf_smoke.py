@@ -13,7 +13,6 @@ from repro.experiments.bench import (
     bench_cnn_mnist_mini,
     bench_grouped_round,
     bench_grouped_round_cnn,
-    bench_grouped_round_pipeline,
     write_bench_results,
 )
 
@@ -36,21 +35,6 @@ def test_grouped_round_cnn_tier_reports_speedup():
     # The batched Conv2D/MaxPool2D kernels must not regress below the
     # scalar path (the ≥2x acceptance check runs in the non-quick bench).
     assert result["speedup"] > 1.0
-
-
-def test_grouped_round_pipeline_tier_runs_and_annotates_cpu_count():
-    result = bench_grouped_round_pipeline(
-        10, rounds_per_group=1, repeats=1, num_processes=1
-    )
-    assert result["num_workers"] == 10
-    assert result["mp_s_per_round"] > 0
-    assert result["pipeline_s_per_round"] > 0
-    # Self-describing rows: the pipeline win depends on the host's core
-    # count, so every record must carry it (docs/PERFORMANCE.md).
-    assert result["cpu_count"] is not None
-    # The tier refuses runs where speculation never engaged, so a recorded
-    # row always reflects actual pipelined execution.
-    assert result["pipeline_hits"] > 0
 
 
 def test_aggregation_micro_tier_reports_speedup():

@@ -363,10 +363,6 @@ class BaseTrainer:
                 num_processes=par.num_processes,
                 start_method=par.start_method,
                 max_restarts=par.max_restarts,
-                # The pipelined event loop overlaps the committing group's
-                # aggregation with the next group's speculative training,
-                # so it needs their arena slots to coexist.
-                num_slots=par.max_inflight if par.pipeline else 1,
             )
         except (UnsupportedModelError, ValueError, OSError) as exc:
             # UnsupportedModelError: no batched engine / active Dropout.

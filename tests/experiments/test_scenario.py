@@ -124,6 +124,11 @@ class TestValidation:
     def test_unknown_section_field_fails(self):
         with pytest.raises(ValueError, match="unknown field"):
             Scenario.from_dict({"training": {"max_round": 5}})
+        # A removed option is an unknown field too: old specs fail loudly.
+        with pytest.raises(
+            ValueError, match=r"scenario\.parallelism has unknown field\(s\) \['pipeline'\]"
+        ):
+            Scenario.from_dict({"parallelism": {"mode": "processes", "pipeline": True}})
 
     def test_unknown_top_level_field_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'mechanism'"):

@@ -79,7 +79,6 @@ class TestSweepRunner:
             assert isinstance(row["cpu_count"], int) and row["cpu_count"] >= 1
             assert row["parallelism_mode"] in ("none", "processes")
             assert row["parallelism_configured"] == "none"
-            assert row["pipeline"] is False
             assert row["engine"] == "auto"
 
     def test_concurrent_execution_of_four_point_grid(self, tmp_path):

@@ -38,6 +38,11 @@ class TestHistorySerialization:
         np.testing.assert_allclose(restored.times(), h.times())
         np.testing.assert_allclose(restored.accuracies(), h.accuracies())
         np.testing.assert_allclose(restored.energies(), h.energies())
+        # Files written before the execution counters were dropped still
+        # load; the extra top-level keys are ignored.
+        legacy = dict(h.to_dict(), pipeline_hits=4, pipeline_recomputes=1)
+        restored = TrainingHistory.from_dict(legacy)
+        assert restored.to_dict() == h.to_dict()
 
     def test_from_dict_validates(self):
         with pytest.raises(ValueError):

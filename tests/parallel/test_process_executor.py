@@ -23,6 +23,7 @@ from repro.core import AirFedGAConfig, GroupingConfig, ParallelismConfig
 from repro.experiments.bench import bench_grouped_round_mp
 from repro.experiments.configs import cnn_mnist_config, lr_mnist_config
 from repro.experiments.runner import build_experiment
+from repro.fl.air_fedga import AirFedGATrainer
 from repro.fl.registry import build_trainer
 from repro.nn.batched import BatchedWorkerEngine, shared_stack_view
 from repro.nn.layers import Dense, Dropout, ReLU
@@ -229,6 +230,15 @@ class TestLifecycle:
 # ----------------------------------------------------------------------
 # Trainer-level equivalence (the full Air-FedGA event loop)
 # ----------------------------------------------------------------------
+def _record_trace(history):
+    """The simulated per-round quantities the determinism contract covers."""
+    return [
+        (r.round_index, r.time, r.loss, r.accuracy, r.staleness, r.group_id,
+         r.round_energy_j, r.sigma, r.eta)
+        for r in history.records
+    ]
+
+
 def _run_air_fedga(config_fn, parallelism, **kwargs):
     cfg = config_fn(num_workers=8, num_train=160, image_size=8, max_rounds=10, **kwargs).scaled(
         local_steps=2,
@@ -274,6 +284,34 @@ class TestTrainerEquivalence:
         assert np.array_equal(gv_serial, gv_mp)
         assert hist_serial == hist_mp
 
+    def test_ragged_groups_bit_exact(self):
+        # Label-skew partition with greedy ξ = 0.3 grouping: group sizes and
+        # per-worker batch geometries both vary, exercising the pad_to pin
+        # across several interleaving groups.
+        def run(par):
+            cfg = lr_mnist_config(
+                num_workers=10, num_train=190, image_size=8, hidden=16,
+                max_rounds=40,
+            ).scaled(
+                local_steps=2, batch_size=16, eval_every=1, max_eval_samples=48,
+                partition_strategy="label-skew",
+                config=AirFedGAConfig(
+                    grouping=GroupingConfig(xi=0.3), parallelism=par
+                ),
+            )
+            with build_trainer("air_fedga", build_experiment(cfg)) as trainer:
+                assert len(trainer.groups) > 1
+                history = trainer.run(max_rounds=8)
+                assert trainer.parallelism_active == (par.mode == "processes")
+                return trainer.global_vector.copy(), _record_trace(history)
+
+        gv_serial, trace_serial = run(ParallelismConfig(mode="none"))
+        gv_mp, trace_mp = run(
+            ParallelismConfig(mode="processes", num_processes=2, min_group_size=1)
+        )
+        assert np.array_equal(gv_serial, gv_mp)
+        assert trace_serial == trace_mp
+
     def test_scalar_engine_downgrades_with_warning(self, small_experiment):
         exp = small_experiment
         exp.engine = "scalar"
@@ -294,6 +332,74 @@ class TestTrainerEquivalence:
                 trainer.run(max_rounds=2)
             # Gated by min_group_size: no dispatch ever reached the pool.
             assert trainer._executor is None or trainer._executor.dispatches == 0
+
+
+# ----------------------------------------------------------------------
+# Pool crash in the middle of a trainer run
+# ----------------------------------------------------------------------
+class _MidRoundCrashTrainer(AirFedGATrainer):
+    """Kills every pool worker during one round's aggregation, so the next
+    group's dispatch meets a broken pool.  Models an OOM-killed worker in
+    the middle of a run."""
+
+    CRASH_ROUND = 4
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._crashed = False
+
+    def aggregate_group(self, group_id, member_ids, local_vectors, round_index,
+                        weight_scale=1.0):
+        if (
+            not self._crashed
+            and round_index == self.CRASH_ROUND
+            and self._executor is not None
+        ):
+            self._crashed = True
+            _kill_pool_workers(self._executor)
+        return super().aggregate_group(
+            group_id, member_ids, local_vectors, round_index,
+            weight_scale=weight_scale,
+        )
+
+
+@pytest.mark.chaos
+class TestCrashDuringRun:
+    def _experiment(self, par):
+        cfg = lr_mnist_config(
+            num_workers=12, num_train=240, image_size=8, hidden=16,
+            max_rounds=40,
+        ).scaled(
+            local_steps=2, batch_size=16, eval_every=1, max_eval_samples=48,
+            config=AirFedGAConfig(
+                grouping=GroupingConfig(xi=1.0), parallelism=par
+            ),
+        )
+        return build_experiment(cfg)
+
+    def test_pool_killed_mid_run_is_bit_exact(self):
+        with AirFedGATrainer(
+            self._experiment(ParallelismConfig(mode="none")),
+            grouping_strategy="tier", num_groups=3,
+        ) as serial:
+            serial_history = serial.run(max_rounds=10)
+            gv_serial = serial.global_vector.copy()
+
+        with _MidRoundCrashTrainer(
+            self._experiment(ParallelismConfig(mode="processes", num_processes=2)),
+            grouping_strategy="tier", num_groups=3,
+        ) as chaos:
+            chaos_history = chaos.run(max_rounds=10)
+            gv_chaos = chaos.global_vector.copy()
+            executor = chaos._executor
+            # The kill really happened and recovery really engaged: the
+            # next dispatch hit the broken pool and was respawn-resubmitted
+            # (or re-run on the in-process fallback).
+            assert chaos._crashed
+            assert executor.restarts + executor.fallbacks >= 1
+
+        assert np.array_equal(gv_serial, gv_chaos)
+        assert _record_trace(serial_history) == _record_trace(chaos_history)
 
 
 # ----------------------------------------------------------------------

@@ -85,6 +85,19 @@ class TestHotPathAllocation:
             if "allow-alloc(" in line or "cold" in line:
                 assert lineno not in flagged
 
+    def test_stale_scope_declaration_is_reported(self, fixtures_dir):
+        live = {"Kernel", "Kernel.forward", "cold_helper"}
+        hot = {"alloc_hot.py": live | {"Kernel.renamed_away", "gone"}}
+        checker = HotPathAllocationChecker(hot_paths=hot)
+        findings = run_on(checker, fixtures_dir, "alloc_hot.py")
+        stale = [f for f in findings if f.rule == "ALLOC002"]
+        assert sorted(f.message.split()[2] for f in stale) == [
+            "Kernel.renamed_away",
+            "gone",
+        ]
+        # The live scopes are still audited alongside the stale report.
+        assert any(f.rule == "ALLOC001" for f in findings)
+
     def test_undeclared_module_is_skipped(self, fixtures_dir):
         checker = HotPathAllocationChecker(hot_paths={"other.py": {"*"}})
         assert run_on(checker, fixtures_dir, "alloc_hot.py") == []

@@ -96,6 +96,7 @@ class TestJsonAndListing:
             "RNG003",
             "RNG004",
             "ALLOC001",
+            "ALLOC002",
             "LIFE001",
             "LIFE002",
             "LIFE003",

@@ -12,12 +12,16 @@ caught by the XL RSS budget long after the fact.
 qualnames (``Class.method``) whose bodies must not allocate.  ``"*"``
 audits every scope in the file.
 
-Rule
-----
+Rules
+-----
 ``ALLOC001``
     Allocating NumPy call (``np.zeros/empty/ones/full/array/copy/
     concatenate/stack/...``, the ``*_like`` variants) or an ``.copy()``
     method call inside a declared hot path.
+``ALLOC002``
+    A declared hot-path scope has no matching ``def`` in its file (it was
+    renamed or deleted), so the audited set shrank without anyone
+    noticing.  Fix the declaration.
 
 Escape hatch: ``# analyze: allow-alloc(reason)`` — used for documented
 one-time geometry binds, lazy first-touch promotions and fallback paths.
@@ -96,7 +100,6 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "GroupedAsyncTrainer._base_of",
         "GroupedAsyncTrainer._commit_base",
         "GroupedAsyncTrainer._group_stack",
-        "GroupedAsyncTrainer._submit_speculation",
         "GroupedAsyncTrainer.group_compute_time",
     },
     # The aggregation path: alpha @ A into trainer-owned buffers.
@@ -122,12 +125,23 @@ _HINT = (
 )
 
 
+def _defined_scopes(body: List[ast.stmt], prefix: str = "") -> Iterable[str]:
+    """Dotted qualnames of every function and class defined in ``body``."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + stmt.name
+            yield qualname
+            yield from _defined_scopes(stmt.body, qualname + ".")
+
+
 class HotPathAllocationChecker(Checker):
-    """ALLOC001: no fresh-array calls inside the declared hot paths."""
+    """ALLOC001/ALLOC002: no fresh-array calls inside the declared hot
+    paths, and no declared hot path without a definition."""
 
     name = "hot-path-allocation"
     rules = {
         "ALLOC001": "allocating NumPy call inside a declared hot path",
+        "ALLOC002": "declared hot-path scope has no matching def in its file",
     }
     allow_tag = "alloc"
 
@@ -140,7 +154,16 @@ class HotPathAllocationChecker(Checker):
             return []
         imports = import_map(module.tree)
         numpy_aliases = {a for a, o in imports.items() if o == "numpy"}
-        findings: List[Finding] = []
+        defined = set(_defined_scopes(module.tree.body))
+        findings: List[Finding] = [
+            module.finding(
+                "ALLOC002",
+                module.tree,
+                f"hot-path scope {scope} has no matching def in this file",
+                "rename or delete the stale entry in tools.analysis.alloc.HOT_PATHS",
+            )
+            for scope in sorted(scopes - defined - {"*"})
+        ]
         for site in iter_calls(module.tree):
             if not self._in_hot_scope(site.qualname, scopes):
                 continue

@@ -1,11 +1,10 @@
 """Resource-lifecycle checker: shared memory and group futures close cleanly.
 
 The multiprocess executor moves model state through
-``multiprocessing.shared_memory`` arenas and hands out
-:class:`~repro.parallel.executor.GroupFuture` handles to arena slots.
-Leaked segments survive the process (``/dev/shm`` fills up across a
-sweep); an unreleased future pins an arena slot and deadlocks the
-pipelined event loop once ``max_inflight`` slots are in flight.
+``multiprocessing.shared_memory`` arenas.  Leaked segments survive the
+process (``/dev/shm`` fills up across a sweep).  LIFE003 guards any
+non-blocking ``submit_group`` dispatch API: a future that is never
+consumed or released pins the arena memory it writes into.
 
 Rules (module-granular heuristics — the structural property is "every
 create has a matching release *somewhere on every path*", which the

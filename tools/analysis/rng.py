@@ -1,7 +1,7 @@
 """RNG-discipline checker: all randomness flows through keyed streams.
 
 Every scaling claim of this reproduction — bit-identical histories across
-the serial/multiprocess/pipelined/lazy execution paths and exact
+the serial/multiprocess/lazy execution paths and exact
 fault-trajectory replay — rests on one structural property: *every*
 random draw derives from an explicitly seeded
 ``numpy.random.SeedSequence``/``default_rng(seed)`` stream.  A single
